@@ -20,7 +20,7 @@ JSON-Schema checker covering type/properties/required/items).
 With ``--enforce-budget`` the run also gates on
 ``benchmarks/bench_budgets.json``: the hot stages (initial +
 dependency_merge — the merge kernels this repo keeps optimizing) must
-stay under their checked-in fraction of the batched backend's wall
+stay under their checked-in fraction of the columnar backend's wall
 time, so a regression that quietly reintroduces per-candidate overhead
 fails CI instead of surfacing as a slow chart later.
 """
@@ -44,7 +44,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.apps import lulesh  # noqa: E402
-from repro.core.columnar import HAVE_NUMPY  # noqa: E402
+from repro.core.columnar import HAVE_NUMPY, resolve_backend  # noqa: E402
 from repro.core.pipeline import (  # noqa: E402
     PipelineOptions,
     PipelineStats,
@@ -263,8 +263,8 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
     timings = {}
     structures = {}
     ab_stats = {}
-    backends = (["python"]
-                + (["columnar", "columnar_batched"] if HAVE_NUMPY else []))
+    columnar = resolve_backend("auto")
+    backends = ["python"] + ([columnar] if HAVE_NUMPY else [])
     for backend in backends:
         backend_opts = PipelineOptions(backend=backend)
         best = None
@@ -282,21 +282,16 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
 
     if HAVE_NUMPY:
         py = structures["python"]
-        identical = all(
-            py.step_of_event == structures[b].step_of_event
-            and py.phase_of_event == structures[b].phase_of_event
-            for b in ("columnar", "columnar_batched")
-        )
-        speedup = timings["python"] / timings["columnar"]
-        speedup_batched = timings["python"] / timings["columnar_batched"]
+        identical = (py.step_of_event == structures[columnar].step_of_event
+                     and py.phase_of_event
+                     == structures[columnar].phase_of_event)
     else:
         identical = True  # vacuous: only one backend exists to compare
-        speedup = speedup_batched = 1.0
-    say(f"A/B speedup: columnar {speedup:.2f}x, "
-        f"batched {speedup_batched:.2f}x, identical={identical}")
+    speedup = timings["python"] / timings[columnar]
+    say(f"A/B speedup: columnar {speedup:.2f}x, identical={identical}")
 
     # Hot-stage budget: the merge kernels (initial + dependency_merge)
-    # against their checked-in fraction of batched wall time.
+    # against their checked-in fraction of columnar wall time.
     budgets = json.loads(BUDGETS_PATH.read_text())
     hot_stages = budgets["hot_stages"]
     budget_backend = budgets["backend"] if HAVE_NUMPY else "python"
@@ -404,12 +399,8 @@ def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
             "chares": largest,
             "events": len(ab_trace.events),
             "python_seconds": round(timings["python"], 6),
-            "columnar_seconds": round(
-                timings.get("columnar", timings["python"]), 6),
-            "columnar_batched_seconds": round(
-                timings.get("columnar_batched", timings["python"]), 6),
+            "columnar_seconds": round(timings[columnar], 6),
             "speedup": round(speedup, 4),
-            "speedup_batched": round(speedup_batched, 4),
             "identical": identical,
         },
         "budget": {

@@ -14,7 +14,7 @@ AST-based static analysis specialized to this pipeline's contracts:
   sockets must be finalized on every path;
 * exception rules (EXC001-EXC002) keep broad/bare excepts from
   swallowing failures in the durability-critical modules;
-* concurrency rules (CONC001-CONC005) pin the crash-safety and
+* concurrency rules (CONC001-CONC003, CONC005) pin the crash-safety and
   fork-boundary idioms — fsync must *dominate* ``os.replace``, lock
   releases must cover every path out of an acquire.
 

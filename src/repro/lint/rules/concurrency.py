@@ -200,62 +200,6 @@ class LockDisciplineRule(Rule):
         self._check_scope(node, ctx)
 
 
-#: Modules CONC004 scopes to: the columnar merge-kernel layer, where a
-#: per-candidate union loop defeats the batched kernel.  The explicit
-#: per-candidate *fallback* rungs live in ``merges.py`` (out of scope,
-#: by design — they are the safety ladder, not the hot path).
-MERGE_KERNEL_BASENAMES = ("columnar.py", "unionfind.py")
-
-
-class PerCandidateMergeLoopRule(Rule):
-    id = "CONC004"
-    title = "per-candidate python loop over merge candidate columns"
-    rationale = (
-        "The columnar merge stages exist to run one batched union pass "
-        "per round; a python for-loop that walks candidate columns "
-        "(tolist()/zip of columns, or a *_candidates/*_pairs stream) and "
-        "unions per element reintroduces the per-candidate interpreter "
-        "overhead the batched kernel removed. Emit candidate arrays and "
-        "hand them to repro.core.unionfind.batch_union instead."
-    )
-
-    def _iterates_candidates(self, iter_node: ast.AST) -> bool:
-        for sub in ast.walk(iter_node):
-            if not isinstance(sub, ast.Call):
-                continue
-            func = sub.func
-            if isinstance(func, ast.Attribute) and func.attr == "tolist":
-                return True
-            name = (func.attr if isinstance(func, ast.Attribute)
-                    else func.id if isinstance(func, ast.Name) else "")
-            if name.endswith("_candidates") or name.endswith("_pairs"):
-                return True
-        return False
-
-    def _body_unions(self, node: ast.For) -> Optional[ast.Call]:
-        for stmt in node.body:
-            for sub in ast.walk(stmt):
-                if (isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr in ("union", "find")):
-                    return sub
-        return None
-
-    def visit_For(self, node: ast.For, ctx: FileContext) -> None:
-        basename = ctx.path.replace("\\", "/").rsplit("/", 1)[-1]
-        if basename not in MERGE_KERNEL_BASENAMES:
-            return
-        if not self._iterates_candidates(node.iter):
-            return
-        call = self._body_unions(node)
-        if call is None:
-            return
-        ctx.report(self, node,
-                   f"per-candidate loop over merge columns calls "
-                   f".{call.func.attr}() per element; batch the round "
-                   f"through repro.core.unionfind.batch_union")
-
-
 #: Path fragment CONC005 scopes to: the HTTP service layer, where an
 #: unbounded socket/stream read hands a slow or malicious peer
 #: unlimited server (or client) time — the slow-loris shape.
@@ -315,5 +259,4 @@ class BlockingReadDeadlineRule(Rule):
 
 def concurrency_rules() -> Tuple[Rule, ...]:
     return (FsyncBeforeReplaceRule(), ModuleMutableStateRule(),
-            LockDisciplineRule(), PerCandidateMergeLoopRule(),
-            BlockingReadDeadlineRule())
+            LockDisciplineRule(), BlockingReadDeadlineRule())

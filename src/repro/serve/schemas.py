@@ -43,9 +43,9 @@ def require_dict(payload, what: str) -> dict:
 def parse_options(fields: Optional[dict]) -> PipelineOptions:
     """Validate a job's ``options`` object into :class:`PipelineOptions`.
 
-    Unknown fields and ``hooks`` are rejected by name; value validation
-    beyond field existence is deferred to extraction (an invalid value
-    fails the job with the pipeline's own error message).
+    Unknown fields and ``hooks`` are rejected by name, and every value
+    goes through :meth:`PipelineOptions.validate` — so a bad value is a
+    400 before the job is journaled, never a failed or degraded job.
     """
     if fields is None:
         return PipelineOptions()
@@ -54,11 +54,16 @@ def parse_options(fields: Optional[dict]) -> PipelineOptions:
         raise SchemaError("options.hooks is process-local and cannot be "
                           "set through the service")
     try:
-        return PipelineOptions().with_overrides(**fields)
+        options = PipelineOptions().with_overrides(**fields)
     except TypeError as exc:
         raise SchemaError(
             f"{exc}; settable fields: {', '.join(OPTION_FIELDS)}"
         ) from None
+    try:
+        options.validate()
+    except (ValueError, RuntimeError) as exc:
+        raise SchemaError(f"options: {exc}") from None
+    return options
 
 
 def parse_job_request(payload) -> tuple:

@@ -262,78 +262,6 @@ def test_conc003_try_finally_release_is_fine():
     assert report.findings == []
 
 
-_PER_CANDIDATE_LOOP = (
-    "def dependency_merge_round(state, src, dst):\n"
-    "    for a, b in zip(src.tolist(), dst.tolist()):\n"
-    "        state.dsu.union(a, b)\n"
-)
-
-
-def test_conc004_per_candidate_union_loop_in_kernel_module():
-    report = lint_source(
-        _PER_CANDIDATE_LOOP,
-        rule_ids=["CONC004"],
-        path="src/repro/core/columnar.py",
-    )
-    assert fired(report) == ["CONC004"]
-    assert "batch_union" in report.findings[0].message
-
-
-def test_conc004_candidate_stream_loop_fires():
-    report = lint_source(
-        "def run(state):\n"
-        "    for a, b in state.merge_candidates():\n"
-        "        state.dsu.find(a)\n",
-        rule_ids=["CONC004"],
-        path="unionfind.py",
-    )
-    assert fired(report) == ["CONC004"]
-
-
-def test_conc004_scoped_to_merge_kernel_modules():
-    # The identical loop is fine elsewhere — e.g. the explicit
-    # per-candidate fallback rungs in merges.py.
-    report = lint_source(
-        _PER_CANDIDATE_LOOP,
-        rule_ids=["CONC004"],
-        path="src/repro/core/merges.py",
-    )
-    assert report.findings == []
-
-
-def test_conc004_batched_kernel_shape_is_fine():
-    # The batch_union kernel itself: iterates pre-converted plain lists
-    # with inlined finds — no per-element union()/find() attribute calls.
-    report = lint_source(
-        "def batch_union(parent, size, a_ids, b_ids):\n"
-        "    a_ids = list(a_ids)\n"
-        "    b_ids = list(b_ids)\n"
-        "    merged = 0\n"
-        "    for a, b in zip(a_ids, b_ids):\n"
-        "        while parent[a] != a:\n"
-        "            parent[a] = parent[parent[a]]\n"
-        "            a = parent[a]\n"
-        "        merged += 1\n"
-        "    return merged\n",
-        rule_ids=["CONC004"],
-        path="src/repro/core/unionfind.py",
-    )
-    assert report.findings == []
-
-
-def test_conc004_loop_without_union_in_body_is_fine():
-    report = lint_source(
-        "def summarize(src):\n"
-        "    out = []\n"
-        "    for a in src.tolist():\n"
-        "        out.append(a + 1)\n"
-        "    return out\n",
-        rule_ids=["CONC004"],
-        path="columnar.py",
-    )
-    assert report.findings == []
-
-
 _NAKED_AWAITED_READ = (
     "async def handle(reader):\n"
     "    line = await reader.readline()\n"

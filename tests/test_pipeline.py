@@ -101,6 +101,41 @@ def test_bad_order_rejected(jacobi_trace):
         extract_logical_structure(jacobi_trace, order="alphabetical")
 
 
+@pytest.mark.parametrize("name", ["mode", "order", "tie_break", "repair",
+                                  "on_error", "hook_errors", "ingest",
+                                  "backend"])
+def test_validate_names_the_bad_field(name):
+    PipelineOptions().validate()
+    with pytest.raises(ValueError, match=name):
+        PipelineOptions(**{name: "bogus"}).validate()
+
+
+@pytest.mark.parametrize("on_error", ["fallback", "degrade"])
+def test_bad_tie_break_not_absorbed_by_fallback(jacobi_trace, on_error):
+    # local_steps is degradable: a check inside it would let the typo
+    # fall back to the physical_order rung and "succeed".
+    with pytest.raises(ValueError, match="tie_break"):
+        extract_logical_structure(jacobi_trace, tie_break="bogus",
+                                  on_error=on_error)
+
+
+def test_bad_tie_break_rejected_under_physical_order(jacobi_trace):
+    # Physical ordering never consults the tie-break, so only an
+    # up-front check stops the typo from minting its own cache key.
+    with pytest.raises(ValueError, match="tie_break"):
+        extract_logical_structure(jacobi_trace, tie_break="bogus",
+                                  order="physical")
+
+
+def test_bad_mode_fails_before_any_stage(jacobi_trace):
+    stats = PipelineStats()
+    with pytest.raises(ValueError, match="mode"):
+        extract_logical_structure(
+            jacobi_trace, PipelineOptions(mode="bogus", on_error="fallback"),
+            stats)
+    assert stats.stage_seconds == {}
+
+
 def test_options_plus_kwargs_rejected(jacobi_trace):
     # Promoted from DeprecationWarning to a hard error: either pass an
     # options object or keywords, never both.

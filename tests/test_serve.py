@@ -187,6 +187,83 @@ def test_http_error_statuses(server, tmp_path):
     assert record["error"] in json.loads(body)["error"]
 
 
+def _submit_lines(ledger_path):
+    with open(ledger_path) as handle:
+        return [line for line in handle if '"submit"' in line]
+
+
+def test_bad_option_value_is_400_before_journal(server, tmp_path,
+                                                trace_file):
+    port, service = server
+    _, body = http(port, "POST", "/v1/traces", trace_file.read_bytes())
+    ref = json.loads(body)["trace"]
+    for bad, field in (({"tie_break": "bogus"}, "tie_break"),
+                       ({"mode": "bogus"}, "mode"),
+                       ({"order": "physical", "tie_break": "bogus"},
+                        "tie_break")):
+        request = json.dumps({"trace": ref, "options": bad}).encode()
+        status, body = http(port, "POST", "/v1/jobs", request)
+        assert status == 400, bad
+        assert field in json.loads(body)["error"]
+    assert _submit_lines(tmp_path / "data" / "jobs.jsonl") == []
+
+
+def test_removed_shard_workers_option_is_400(server, tmp_path, trace_file):
+    port, _service = server
+    _, body = http(port, "POST", "/v1/traces", trace_file.read_bytes())
+    ref = json.loads(body)["trace"]
+    request = json.dumps({"trace": ref,
+                          "options": {"shard_workers": 2}}).encode()
+    status, body = http(port, "POST", "/v1/jobs", request)
+    assert status == 400
+    error = json.loads(body)["error"]
+    assert "shard_workers" in error and "settable fields: " in error
+    settable = error.split("settable fields: ", 1)[1].split(", ")
+    assert "tie_break" in settable and "shard_workers" not in settable
+    assert _submit_lines(tmp_path / "data" / "jobs.jsonl") == []
+
+
+def test_replayed_job_with_removed_option_fails_and_serving_continues(
+        tmp_path, trace_file):
+    data = tmp_path / "data"
+    service = JobService(data, workers=0)
+    ref = service.upload(trace_file.read_bytes())["trace"]
+    job = service.submit(ref, {})
+    service.stop()
+    # Rewrite the journaled submit as a server that still had the
+    # shard_workers option would have accepted it.
+    ledger = data / "jobs.jsonl"
+    lines = []
+    for line in ledger.read_text().splitlines():
+        entry = json.loads(line)
+        if entry.get("kind") == "submit":
+            entry["options"] = {"shard_workers": 2}
+        lines.append(json.dumps(entry))
+    ledger.write_text("\n".join(lines) + "\n")
+
+    service = JobService(data, workers=1)
+    assert service.recovered == 1
+    service.start()
+    try:
+        deadline = time.monotonic() + POLL_DEADLINE
+        while (service.job(job.id).status not in ("done", "failed")
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        failed = service.job(job.id)
+        assert failed.status == "failed"
+        assert "shard_workers" in failed.error
+        assert "settable fields" in failed.error
+        # The service keeps serving: a fresh job completes.
+        fresh = service.submit(ref, {"order": "physical"})
+        while (service.job(fresh.id).status not in ("done", "failed")
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert service.job(fresh.id).status == "done"
+    finally:
+        service.stop()
+    assert read_job_ledger(ledger)[job.id].status == "failed"
+
+
 def test_result_conflict_while_queued_and_gone_after_eviction(
         tmp_path, trace_file):
     service = JobService(tmp_path / "data", workers=0)  # nothing drains
