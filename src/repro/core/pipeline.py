@@ -521,9 +521,9 @@ def extract_logical_structure(
         enforce = mode == "charm" or relaxed
 
     # ------------------------------------------------------------------
-    # Stage bodies.  Each mutates the shared context dict; the context
-    # holds only picklable data (no modules, hooks, or options) so the
-    # executor can snapshot it for fallback restore and checkpoints.
+    # Stage bodies.  Each mutates the shared context dict but only
+    # rebinds the seed keys (the executor replays from them); the
+    # context holds only picklable data so checkpoints can save it.
     # ------------------------------------------------------------------
     def st_repair(ctx: dict) -> None:
         from repro.trace.repair import repair_trace, warn_on_defects
@@ -570,9 +570,7 @@ def extract_logical_structure(
         dependency_merge(ctx["state"])
 
     def st_dependency_merge_python(ctx: dict) -> None:
-        # Batched union kernel failed mid-stage: the executor restored
-        # the pre-stage state snapshot, so rerun the reference scan on
-        # the same state.
+        # The batched union kernel failed: rescan the rebuilt state.
         dependency_merge(ctx["state"], use_fast_path=False)
 
     def st_repair_merge(ctx: dict) -> None:

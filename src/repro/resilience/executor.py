@@ -7,18 +7,18 @@ about:
 
 * **Fallbacks.**  Each stage may declare an ordered ladder of fallback
   implementations (columnar kernel → python reference → physical-time
-  ordering).  When a primary path raises, the context is restored from
-  the pre-stage snapshot and the next path runs; the stage's outcome
+  ordering).  When a primary path raises, the pre-stage context is
+  rebuilt by replay (below) and the next path runs; the stage's outcome
   records which path produced the result and why the others failed.
 * **Graceful degradation.**  A stage marked ``degradable`` whose every
-  path failed is skipped: the context is restored, the outcome says so,
-  and the run continues to a partial result instead of losing the
-  completed stages.
+  path failed is skipped: the pre-stage context is rebuilt, the outcome
+  says so, and the run continues to a partial result instead of losing
+  the completed stages.
 * **Resource guards.**  Each attempt runs under a
   :class:`~repro.resilience.guard.ResourceGuard` watch; a deadline or
   RSS breach soft-aborts the attempt (a breach on an attempt that
   completed anyway is recorded on the outcome without discarding it).
-* **Checkpoints.**  With a ``checkpoint_dir``, the context is snapshotted
+* **Checkpoints.**  With a ``checkpoint_dir``, the context is saved
   after every *successfully* completed stage (atomic replace, see
   :mod:`repro.resilience.checkpoint`); a later run with the same key
   resumes after the last completed stage, re-emitting the checkpointed
@@ -28,24 +28,29 @@ about:
   run, so a resume always re-attempts the skipped work instead of
   presenting a partial result as complete.  A checkpoint whose outcomes
   the current ``on_error`` mode could not have produced (e.g. a
-  fallback-path result resumed under ``"raise"``) is refused and the
-  run starts fresh.
+  fallback-path result resumed under ``"raise"``), or whose stage list
+  is not a prefix of this run's, is refused and the run starts fresh.
 
 Error policy (``on_error``): ``"raise"`` (default) propagates the first
-stage failure unchanged — bit-for-bit the historical behavior, with no
-snapshotting cost; ``"fallback"`` walks the fallback ladder and raises
-only when every path failed; ``"degrade"`` additionally skips degradable
-stages so the run always produces its best partial result.
+stage failure unchanged — bit-for-bit the historical behavior;
+``"fallback"`` walks the fallback ladder and raises only when every
+path failed; ``"degrade"`` additionally skips degradable stages so the
+run always produces its best partial result.
 
-Context snapshots are single-dump pickles, so shared references inside
-the state survive restore and a resumed or fallback run stays
-bit-identical to an uninterrupted one.
+Fallback costs nothing until a stage fails: the executor keeps no copy
+of the intermediate state, only the path function each completed stage
+ran.  To rebuild a failed stage's input it restores the seed context
+the run started from (on a resumed run, a fresh copy of the
+checkpoint's) and replays those functions silently — no observer, no
+warnings, no resource guard.  Stages must therefore be deterministic
+and may rebind, but never mutate in place, the seed's values.
 """
 
 from __future__ import annotations
 
-import pickle
+import threading
 import time as _time
+import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -72,6 +77,9 @@ ON_ERROR_MODES = ("raise", "fallback", "degrade")
 
 StageFn = Callable[[dict], None]
 
+#: Serializes silent replays: ``warnings.catch_warnings`` is process-wide.
+_REPLAY_LOCK = threading.Lock()
+
 
 @dataclass
 class StageSpec:
@@ -90,8 +98,8 @@ class StageSpec:
     fallbacks: Sequence[Tuple[str, StageFn]] = ()
     #: May the run continue (with a partial result) if every path fails?
     degradable: bool = False
-    #: Optional predicate deciding whether the stage runs at all for
-    #: these options (a disabled stage produces no outcome).
+    #: Optional predicate on the seed context deciding whether the stage
+    #: runs at all for these options (a disabled stage has no outcome).
     enabled: Optional[Callable[[dict], bool]] = None
     #: Context keys that must exist before the stage can run; a missing
     #: key (an upstream stage was skipped) skips this stage too.
@@ -132,9 +140,6 @@ class ResilientExecutor:
         self.observer = observer
 
     # ------------------------------------------------------------------
-    def _need_snapshot(self) -> bool:
-        return self.on_error != "raise" or self.checkpoint_dir is not None
-
     def _attempts(self, spec: StageSpec) -> List[Tuple[str, StageFn]]:
         attempts: List[Tuple[str, StageFn]] = [("primary", spec.run)]
         if self.on_error != "raise":
@@ -142,15 +147,16 @@ class ResilientExecutor:
         return attempts
 
     def _run_stage(self, spec: StageSpec, ctx: dict,
-                   snapshot: Optional[bytes]) -> StageOutcome:
+                   rebuild: Callable[[], None],
+                   ) -> Tuple[StageOutcome, Optional[StageFn]]:
+        """Run ``spec``'s ladder; returns (outcome, winning path or None)."""
         errors: List[str] = []
         last_exc: Optional[BaseException] = None
         for index, (path, fn) in enumerate(self._attempts(spec)):
-            if index > 0 and snapshot is not None:
+            if index > 0:
                 # The failed path may have half-mutated the state; start
-                # the fallback from the pre-stage snapshot.
-                ctx.clear()
-                ctx.update(pickle.loads(snapshot))
+                # the fallback from the rebuilt pre-stage context.
+                rebuild()
             self.guard.breach = None
             t0 = _time.perf_counter()  # repro-lint: disable=DET001 reason=per-stage timing telemetry for the degradation report
             try:
@@ -175,13 +181,11 @@ class ResilientExecutor:
                 reason="; ".join(errors),
                 seconds=seconds,
                 breach=breach[1] if breach is not None else "",
-            )
+            ), fn
         if spec.degradable and self.on_error == "degrade":
-            if snapshot is not None:
-                ctx.clear()
-                ctx.update(pickle.loads(snapshot))
+            rebuild()
             return StageOutcome(spec.name, status=STATUS_SKIPPED, path="",
-                                reason="; ".join(errors))
+                                reason="; ".join(errors)), None
         if isinstance(last_exc, StageBreachError) or len(errors) > 1:
             raise StageError(spec.name, errors) from last_exc
         assert last_exc is not None  # the attempt loop always runs once
@@ -191,41 +195,40 @@ class ResilientExecutor:
     def run(self, ctx: dict) -> DegradationReport:
         """Execute the stages over ``ctx``; returns the outcome report."""
         report = DegradationReport()
+        stages = [s for s in self.stages
+                  if s.enabled is None or s.enabled(ctx)]
+        seed = dict(ctx)
+        base: Callable[[], dict] = seed.copy
         completed: List[str] = []
-        resumed: List[str] = []
+        replay: List[StageFn] = []  # the paths that ran since ``base``
         ckpt_dir = self.checkpoint_dir
         checkpointing = ckpt_dir is not None
         if ckpt_dir is not None:
             loaded = load_checkpoint(ckpt_dir, self.checkpoint_key)
-            if loaded is not None and all(
-                d.get("status") in _MODE_STATUSES[self.on_error]
-                for d in loaded[1]
-            ):
-                resumed, outcome_dicts, saved_ctx = loaded
+            # Refused whole (written under a laxer on_error mode, or for
+            # a diverged stage list): no part of it is trusted.
+            if loaded is not None and loaded.completed == [
+                s.name for s in stages[:len(loaded.completed)]
+            ] and all(d.get("status") in _MODE_STATUSES[self.on_error]
+                      for d in loaded.outcomes):
                 ctx.clear()
-                ctx.update(saved_ctx)
-                for data in outcome_dicts:
+                ctx.update(loaded.ctx)
+                base = loaded.context
+                for data in loaded.outcomes:
                     outcome = StageOutcome.from_dict(data)
                     outcome.resumed = True
                     report.outcomes.append(outcome)
-                completed = list(resumed)
+                completed = list(loaded.completed)
 
-        snapshot: Optional[bytes] = None
-        if self._need_snapshot():
-            snapshot = pickle.dumps(ctx, protocol=pickle.HIGHEST_PROTOCOL)
+        def rebuild() -> None:
+            ctx.clear()
+            ctx.update(base())
+            with _REPLAY_LOCK, warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for fn in replay:
+                    fn(ctx)
 
-        consume = 0  # how many restored stage names we have matched
-        for spec in self.stages:
-            if spec.enabled is not None and not spec.enabled(ctx):
-                continue
-            if consume < len(resumed):
-                if resumed[consume] == spec.name:
-                    consume += 1
-                    continue
-                # The saved stage list diverged from this run's stages
-                # (should not happen for a well-formed key): run the
-                # remainder fresh rather than trusting the mismatch.
-                resumed = resumed[:consume]
+        for spec in stages[len(completed):]:
             missing = [k for k in spec.requires if k not in ctx]
             if missing:
                 report.outcomes.append(StageOutcome(
@@ -238,17 +241,16 @@ class ResilientExecutor:
                 # re-attempts it rather than resuming past the hole.
                 checkpointing = False
                 continue
-            outcome = self._run_stage(spec, ctx, snapshot)
+            outcome, fn = self._run_stage(spec, ctx, rebuild)
             report.outcomes.append(outcome)
-            if self._need_snapshot():
-                snapshot = pickle.dumps(ctx, protocol=pickle.HIGHEST_PROTOCOL)
-            if outcome.status == STATUS_SKIPPED:
+            if fn is None:
                 checkpointing = False
                 continue
+            replay.append(fn)
             completed.append(spec.name)
             if checkpointing and ckpt_dir is not None:
                 save_checkpoint(
                     ckpt_dir, self.checkpoint_key, completed,
-                    [o.to_dict() for o in report.outcomes], snapshot,
+                    [o.to_dict() for o in report.outcomes], ctx,
                 )
         return report

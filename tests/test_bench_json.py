@@ -52,6 +52,8 @@ def test_quick_record_contents(bench_record):
     ro = bench_record["repair_overhead"]
     assert ro["off_seconds"] > 0 and ro["warn_seconds"] > 0
     assert ro["overhead"] > 0
+    res = bench_record["resilience_overhead"]
+    assert res["fallback_seconds"] > 0 and res["fallback_overhead"] > 0
 
 
 def test_quick_record_backend_ab_batched(bench_record):

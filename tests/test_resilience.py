@@ -184,6 +184,26 @@ def test_executor_disabled_stage_produces_no_outcome():
     assert [o.stage for o in report.outcomes] == ["on"]
 
 
+def test_diverged_checkpoint_is_refused_whole(tmp_path):
+    """A checkpoint whose stage list is not a prefix of this run's is
+    not partly trusted: its context and outcomes are both dropped and
+    the run starts fresh from the seed."""
+    def step(name):
+        return lambda c: c.setdefault("n", []).append(name)
+
+    key = checkpoint_key("digest", "options")
+    save_checkpoint(tmp_path, key, ["a", "x"],
+                    [StageOutcome("a").to_dict(), StageOutcome("x").to_dict()],
+                    {"n": ["a", "x"]})
+    ex = ResilientExecutor([_spec("a", step("a")), _spec("b", step("b"))],
+                           checkpoint_dir=str(tmp_path), checkpoint_key=key)
+    ctx = {}
+    report = ex.run(ctx)
+    assert ctx == {"n": ["a", "b"]}
+    assert [(o.stage, o.resumed) for o in report.outcomes] == [
+        ("a", False), ("b", False)]
+
+
 def test_degradation_report_round_trip():
     report = DegradationReport(outcomes=[
         StageOutcome("a"),
@@ -201,12 +221,11 @@ def test_degradation_report_round_trip():
 # ---------------------------------------------------------------------------
 def test_checkpoint_save_load_round_trip(tmp_path):
     ctx = {"x": [1, 2, 3], "y": {"nested": (4, 5)}}
-    blob = pickle.dumps(ctx)
     key = checkpoint_key("digest", "options")
-    save_checkpoint(tmp_path, key, ["a", "b"], [{"stage": "a"}], blob)
+    save_checkpoint(tmp_path, key, ["a", "b"], [{"stage": "a"}], ctx)
     loaded = load_checkpoint(tmp_path, key)
     assert loaded is not None
-    completed, outcomes, restored = loaded
+    completed, outcomes, restored, _ = loaded
     assert completed == ["a", "b"]
     assert outcomes == [{"stage": "a"}]
     assert restored == ctx
@@ -218,14 +237,31 @@ def test_checkpoint_corrupt_and_mismatched_files_read_as_absent(tmp_path):
     path = checkpoint_path(tmp_path, key)
     path.write_bytes(b"not a pickle at all")
     assert load_checkpoint(tmp_path, key) is None  # corrupt
-    save_checkpoint(tmp_path, key, [], [], pickle.dumps({}))
+    save_checkpoint(tmp_path, key, [], [], {})
     truncated = path.read_bytes()[:-10]
     path.write_bytes(truncated)
     assert load_checkpoint(tmp_path, key) is None  # torn
     other = checkpoint_key("other-digest", "options")
-    save_checkpoint(tmp_path, key, [], [], pickle.dumps({}))
+    save_checkpoint(tmp_path, key, [], [], {})
     os.replace(checkpoint_path(tmp_path, key), checkpoint_path(tmp_path, other))
     assert load_checkpoint(tmp_path, other) is None  # key mismatch
+
+
+def test_checkpoint_checksum_rejects_flipped_value(tmp_path):
+    """A silently flipped digit in a saved step value must read as "no
+    checkpoint", not be resumed as correct."""
+    key = checkpoint_key("digest", "options")
+    path = save_checkpoint(tmp_path, key, ["a"], [], {"steps": [1, 2, 3]})
+    data = path.read_bytes()
+    at = data.rindex(b"K\x02")  # pickle BININT1 opcode for the 2
+    path.write_bytes(data[:at] + b"K\x07" + data[at + 2:])
+    assert load_checkpoint(tmp_path, key) is None
+    # a version-2 file (no checksum) is discarded as version skew
+    with open(path, "wb") as fh:
+        pickle.dump({"version": 2, "key": key, "completed": ["a"],
+                     "outcomes": []}, fh)
+        pickle.dump({"steps": [1, 2, 3]}, fh)
+    assert load_checkpoint(tmp_path, key) is None
 
 
 def test_checkpoint_key_separates_traces_and_options(trace):
@@ -455,6 +491,115 @@ def test_strict_verify_failure_falls_back_and_rechecks(trace, monkeypatch):
     # reference rung survives.
     assert calls["n"] == 1
     assert structure.degradation.outcome("initial").path == "python_reference"
+
+
+def _poison_ordering(monkeypatch):
+    from repro.core import pipeline as pl
+
+    def boom(*a, **k):
+        raise RuntimeError("ordering fault injection")
+
+    monkeypatch.setattr(pl, "reordered_order_task", boom)
+    monkeypatch.setattr(pl, "physical_order", boom)
+
+
+def _statuses(structure):
+    return [(o.stage, o.status, o.path)
+            for o in structure.degradation.outcomes]
+
+
+@pytest.mark.parametrize("on_error", ["fallback", "degrade"])
+def test_fallback_modes_pickle_nothing_until_a_stage_fails(
+        trace, reference, on_error, tmp_path, monkeypatch):
+    """The fallback machinery costs nothing on the success path: no
+    per-stage context snapshots.  Pickling is for checkpoints only."""
+    calls = []
+    for name in ("dumps", "loads", "dump", "load"):
+        def counted(*a, _real=getattr(pickle, name), _name=name, **k):
+            caller = sys._getframe(1).f_globals.get("__name__", "")
+            if caller.startswith("repro.resilience"):
+                calls.append(_name)
+            return _real(*a, **k)
+
+        monkeypatch.setattr(pickle, name, counted)
+    structure = extract_logical_structure(
+        trace, PipelineOptions(on_error=on_error))
+    assert calls == []
+    assert structures_equal(structure, reference)
+    # the counter does see the checkpoint writer
+    extract_logical_structure(trace, PipelineOptions(
+        on_error=on_error, checkpoint_dir=str(tmp_path)))
+    assert "dumps" in calls
+
+
+def test_replay_reruns_the_recorded_fallback_rung(trace, monkeypatch):
+    """Rebuilding a degraded stage's input replays the rung that
+    actually produced each earlier stage (here the python reference
+    ``initial``), never the primary that failed."""
+    from repro.core import columnar
+
+    calls = {"n": 0}
+
+    def poisoned(*a, **k):
+        calls["n"] += 1
+        raise RuntimeError("poisoned kernel")
+
+    monkeypatch.setattr(columnar, "build_initial_columnar", poisoned)
+    _poison_ordering(monkeypatch)
+    partial = extract_logical_structure(
+        trace, PipelineOptions(on_error="degrade"))
+    assert calls["n"] == 1
+    assert partial.degradation.outcome("initial").path == "python_reference"
+    assert partial.degradation.outcome("local_steps").status == "skipped"
+    python = extract_logical_structure(
+        trace, PipelineOptions(on_error="degrade", backend="python"))
+    assert structures_equal(partial, python)
+
+
+def test_replay_does_not_repeat_repair_warning(monkeypatch):
+    """The replay that rebuilds a degraded stage's input re-runs the
+    repair stage silently: its RuntimeWarning is emitted once."""
+    bad = fault_corpus(jacobi2d.run(chares=(3, 3), pes=2, iterations=2,
+                                    seed=5),
+                       ["clock_skew"], seed=3, severity=0.3)["clock_skew"]
+    _poison_ordering(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        partial = extract_logical_structure(bad, PipelineOptions(
+            backend="python", repair="warn", on_error="degrade"))
+    assert partial.degradation.outcome("local_steps").status == "skipped"
+    repair_warnings = [w for w in caught
+                       if issubclass(w.category, RuntimeWarning)
+                       and "trace defects detected" in str(w.message)]
+    assert len(repair_warnings) == 1
+
+
+def test_resumed_degrade_run_replays_from_checkpoint(trace, tmp_path,
+                                                     monkeypatch):
+    """A run resumed after build_phases rebuilds a degraded stage's
+    input from the checkpoint's context, and ends where an
+    uninterrupted poisoned run does."""
+    opts = PipelineOptions(backend="python", checkpoint_dir=str(tmp_path))
+
+    class DieAt:
+        def on_stage(self, stage, *, state=None, structure=None, seconds=0.0):
+            if stage == "local_steps":
+                raise KeyboardInterrupt  # not an Exception: no fallback path
+
+    with pytest.raises(KeyboardInterrupt):
+        extract_logical_structure(
+            trace, opts.with_overrides(hooks=DieAt(), hook_errors="raise"))
+    key = checkpoint_key(trace_digest(trace), options_token(opts))
+    assert load_checkpoint(tmp_path, key).completed[-1] == "build_phases"
+
+    _poison_ordering(monkeypatch)
+    resumed = extract_logical_structure(
+        trace, opts.with_overrides(on_error="degrade"))
+    fresh = extract_logical_structure(
+        trace, opts.with_overrides(on_error="degrade", checkpoint_dir=None))
+    assert resumed.degradation.resumed
+    assert _statuses(resumed) == _statuses(fresh)
+    assert structures_equal(resumed, fresh)
 
 
 # ---------------------------------------------------------------------------
